@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build test race bench bench-engine bench-smoke vet fmt staticcheck govulncheck check fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke ci
+.PHONY: build test race bench bench-engine bench-smoke vet fmt staticcheck govulncheck check fuzz perfbench-test serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke ci
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,11 @@ race:
 # format changes).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 30s ./internal/codec/
+
+# The end-to-end benchmark driver is a module of its own (perfbench/go.mod),
+# so `go test ./...` at the root does not reach it: vet and test it there.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Query hot-path microbenchmarks (-benchmem) + the machine-readable
 # BENCH_PR10.json trajectory point (per method: ns/op, B/op, allocs/op,
@@ -138,4 +143,4 @@ fault-smoke:
 	$(GO) build -o bin/permserve ./cmd/permserve
 	./scripts/fault_smoke.sh bin/permserve
 
-ci: check build test race fuzz serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke bench-smoke
+ci: check build test race fuzz perfbench-test serve-smoke shard-smoke rollout-smoke ingest-smoke fault-smoke bench-smoke

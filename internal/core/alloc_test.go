@@ -30,6 +30,16 @@ func allocKinds(t *testing.T) (queries [][]float32, kinds []struct {
 	index index.Index[[]float32]
 }) {
 	t.Helper()
+	return kindsOver(t, sp32())
+}
+
+// kindsOver builds every core index kind over the same small SIFT corpus
+// in the space sp.
+func kindsOver(t *testing.T, sp space.Space[[]float32]) (queries [][]float32, kinds []struct {
+	kind  string
+	index index.Index[[]float32]
+}) {
+	t.Helper()
 	const n, nq, seed = 600, 8, 7
 	all := dataset.SIFT(seed, n+nq)
 	db, qs := all[:n], all[n:]
@@ -42,31 +52,31 @@ func allocKinds(t *testing.T) (queries [][]float32, kinds []struct {
 			index index.Index[[]float32]
 		}{kind, idx})
 	}
-	napp, err := core.NewNAPP(sp32(), db, core.NAPPOptions{
+	napp, err := core.NewNAPP(sp, db, core.NAPPOptions{
 		NumPivots: 64, NumPivotIndex: 16, NumPivotSearch: 16, MinShared: 1, Seed: seed,
 	})
 	mk("napp", napp, err)
-	nappCap, err := core.NewNAPP(sp32(), db, core.NAPPOptions{
+	nappCap, err := core.NewNAPP(sp, db, core.NAPPOptions{
 		NumPivots: 64, NumPivotIndex: 16, MinShared: 1, MaxCandidates: 40, Seed: seed,
 	})
 	mk("napp-capped", nappCap, err)
-	mi, err := core.NewMIFile(sp32(), db, core.MIFileOptions{
+	mi, err := core.NewMIFile(sp, db, core.MIFileOptions{
 		NumPivots: 32, NumPivotIndex: 16, NumPivotSearch: 8, MaxPosDiff: 10, Seed: seed,
 	})
 	mk("mi-file", mi, err)
-	pp, err := core.NewPPIndex(sp32(), db, core.PPIndexOptions{
+	pp, err := core.NewPPIndex(sp, db, core.PPIndexOptions{
 		NumPivots: 16, PrefixLen: 4, Copies: 2, Seed: seed,
 	})
 	mk("pp-index", pp, err)
-	bf, err := core.NewBruteForceFilter(sp32(), db, core.BruteForceOptions{NumPivots: 32, Seed: seed})
+	bf, err := core.NewBruteForceFilter(sp, db, core.BruteForceOptions{NumPivots: 32, Seed: seed})
 	mk("brute-force-filt", bf, err)
-	bin, err := core.NewBinFilter(sp32(), db, core.BinFilterOptions{NumPivots: 64, Seed: seed})
+	bin, err := core.NewBinFilter(sp, db, core.BinFilterOptions{NumPivots: 64, Seed: seed})
 	mk("brute-force-filt-bin", bin, err)
-	quant, err := core.NewQuantFilter(sp32(), db, core.QuantFilterOptions{NumPivots: 64, Seed: seed})
+	quant, err := core.NewQuantFilter(sp, db, core.QuantFilterOptions{NumPivots: 64, Seed: seed})
 	mk("brute-force-filt-quant", quant, err)
-	dv, err := core.NewDistVecFilter(sp32(), db, core.BruteForceOptions{NumPivots: 32, Seed: seed})
+	dv, err := core.NewDistVecFilter(sp, db, core.BruteForceOptions{NumPivots: 32, Seed: seed})
 	mk("distvec-filt", dv, err)
-	om, err := core.NewOMEDRANK(sp32(), db, core.OMEDRANKOptions{NumVoters: 6, Seed: seed})
+	om, err := core.NewOMEDRANK(sp, db, core.OMEDRANKOptions{NumVoters: 6, Seed: seed})
 	mk("omedrank", om, err)
 	return qs, kinds
 }

@@ -63,6 +63,7 @@ type BruteForceFilter[T any] struct {
 type bfScratch struct {
 	perm  permutation.Scratch
 	cands []topk.Neighbor
+	ids   []uint32
 	queue topk.Queue
 }
 
@@ -189,7 +190,8 @@ func (f *BruteForceFilter[T]) search(s *bfScratch, tr *obs.QueryTrace, dst []top
 	if tr != nil {
 		obs.AddSince(&tr.MergeNs, t0)
 	}
-	return refineTopInto(f.sp, f.data, query, best, k, &s.queue, dst, tr)
+	s.ids = candidateIDs(s.ids, best)
+	return refineInto(f.sp, f.data, query, s.ids, k, &s.queue, dst, tr)
 }
 
 // BinFilterOptions configures NewBinFilter.
@@ -240,6 +242,7 @@ type binScratch struct {
 	perm  permutation.Scratch
 	qbits permutation.Binary
 	cands []topk.Neighbor
+	ids   []uint32
 	queue topk.Queue
 }
 
@@ -340,5 +343,6 @@ func (f *BinFilter[T]) search(s *binScratch, tr *obs.QueryTrace, dst []topk.Neig
 	if tr != nil {
 		obs.AddSince(&tr.MergeNs, t0)
 	}
-	return refineTopInto(f.sp, f.data, query, best, k, &s.queue, dst, tr)
+	s.ids = candidateIDs(s.ids, best)
+	return refineInto(f.sp, f.data, query, s.ids, k, &s.queue, dst, tr)
 }

@@ -77,23 +77,40 @@ func gammaCount(frac float64, n, k int) int {
 // queries). The queue is scratch state owned by the caller; refineInto does
 // not allocate when dst and the queue have warmed-up capacity.
 //
-// Ties at the k boundary are broken by candidate order (first kept wins),
-// so every index must feed candidates in a deterministic order.
-// Both refine helpers take an optional *obs.QueryTrace: when non-nil they
-// attribute the exact-distance loop to the refine stage and the final
-// ordered copy-out to the merge stage (one time.Now pair per stage; no
-// per-candidate bookkeeping, so the traced path stays allocation-free).
+// The queue keeps the canonical k smallest by (distance, id), so the answer
+// does not depend on candidate order. That is what lets a space.Bounded
+// distance give up on a candidate once it is strictly farther than the
+// queue's k-th distance: Push would reject it anyway, so the answer stays
+// bit for bit what full distances give.
+//
+// When tr is non-nil the exact-distance loop is attributed to the refine
+// stage and the final ordered copy-out to the merge stage (one time.Now
+// pair per stage; no per-candidate bookkeeping, so the traced path stays
+// allocation-free). RefineDistances counts every evaluation started,
+// RefineAbandoned those given up.
 func refineInto[T any](sp space.Space[T], data []T, query T, cands []uint32, k int, q *topk.Queue, dst []topk.Neighbor, tr *obs.QueryTrace) []topk.Neighbor {
 	var t0 time.Time
 	if tr != nil {
-		tr.RefineDistances += int64(len(cands))
 		t0 = time.Now()
 	}
 	q.Reset(k)
+	abandoned := 0
+	bs, bounded := sp.(space.Bounded[T])
 	for _, id := range cands {
+		if bound, full := q.Bound(); bounded && full {
+			d, ok := bs.DistanceBounded(data[id], query, bound)
+			if !ok {
+				abandoned++
+				continue
+			}
+			q.Push(id, d)
+			continue
+		}
 		q.Push(id, sp.Distance(data[id], query))
 	}
 	if tr != nil {
+		tr.RefineDistances += int64(len(cands))
+		tr.RefineAbandoned += int64(abandoned)
 		obs.AddSince(&tr.RefineNs, t0)
 		t0 = time.Now()
 	}
@@ -104,27 +121,14 @@ func refineInto[T any](sp space.Space[T], data []T, query T, cands []uint32, k i
 	return dst
 }
 
-// refineTopInto is refineInto over pre-scored candidates (the output of
-// topk.SelectK); only the IDs are consumed.
-func refineTopInto[T any](sp space.Space[T], data []T, query T, cands []topk.Neighbor, k int, q *topk.Queue, dst []topk.Neighbor, tr *obs.QueryTrace) []topk.Neighbor {
-	var t0 time.Time
-	if tr != nil {
-		tr.RefineDistances += int64(len(cands))
-		t0 = time.Now()
+// candidateIDs copies the ids of pre-scored candidates (the output of
+// topk.SelectK) into buf, reusing its capacity, for refineInto.
+func candidateIDs(buf []uint32, best []topk.Neighbor) []uint32 {
+	buf = buf[:0]
+	for _, c := range best {
+		buf = append(buf, c.ID)
 	}
-	q.Reset(k)
-	for _, c := range cands {
-		q.Push(c.ID, sp.Distance(data[c.ID], query))
-	}
-	if tr != nil {
-		obs.AddSince(&tr.RefineNs, t0)
-		t0 = time.Now()
-	}
-	dst = q.AppendResults(dst)
-	if tr != nil {
-		obs.AddSince(&tr.MergeNs, t0)
-	}
-	return dst
+	return buf
 }
 
 // searcher adapts a scratch-threaded search function to index.Searcher: it
@@ -229,8 +233,8 @@ func computeOrders[T any](pv *permutation.Pivots[T], data []T, mi int) []int32 {
 	}
 	out := make([]int32, len(data)*mi)
 	parallelFor(len(data), func(i int) {
-		order := pv.Order(data[i], nil)
-		copy(out[i*mi:(i+1)*mi], order[:mi])
+		var s permutation.Scratch
+		copy(out[i*mi:(i+1)*mi], pv.OrderPrefixWith(&s, data[i], mi))
 	})
 	return out
 }

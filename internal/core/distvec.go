@@ -35,6 +35,7 @@ type dvScratch struct {
 	qd    []float64
 	qv    []float32
 	cands []topk.Neighbor
+	ids   []uint32
 	queue topk.Queue
 }
 
@@ -140,5 +141,6 @@ func (f *DistVecFilter[T]) search(s *dvScratch, tr *obs.QueryTrace, dst []topk.N
 	if tr != nil {
 		obs.AddSince(&tr.MergeNs, t0)
 	}
-	return refineTopInto(f.sp, f.data, query, best, k, &s.queue, dst, tr)
+	s.ids = candidateIDs(s.ids, best)
+	return refineInto(f.sp, f.data, query, s.ids, k, &s.queue, dst, tr)
 }

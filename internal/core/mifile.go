@@ -91,6 +91,7 @@ type miScratch struct {
 	gains   scratch.Gains
 	touched []uint32
 	cands   []topk.Neighbor
+	ids     []uint32
 	queue   topk.Queue
 }
 
@@ -186,9 +187,9 @@ func (mf *MIFile[T]) search(s *miScratch, tr *obs.QueryTrace, dst []topk.Neighbo
 	if tr != nil {
 		t0 = time.Now()
 	}
-	qorder := mf.pivots.OrderWith(&s.perm, query)
 	m := int32(mf.opts.NumPivots)
 	ms := mf.opts.NumPivotSearch
+	qorder := mf.pivots.OrderPrefixWith(&s.perm, query, ms)
 
 	// gains accumulates m - |pos_x - pos_q| per shared pivot; the
 	// estimated Footrule on truncated permutations is ms*m - gain, so
@@ -234,5 +235,6 @@ func (mf *MIFile[T]) search(s *miScratch, tr *obs.QueryTrace, dst []topk.Neighbo
 	if tr != nil {
 		obs.AddSince(&tr.MergeNs, t0)
 	}
-	return refineTopInto(mf.sp, mf.data, query, best, k, &s.queue, dst, tr)
+	s.ids = candidateIDs(s.ids, best)
+	return refineInto(mf.sp, mf.data, query, s.ids, k, &s.queue, dst, tr)
 }

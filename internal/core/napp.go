@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/index"
@@ -31,9 +33,9 @@ type NAPPOptions struct {
 	// candidates. Default 2.
 	MinShared int
 	// MaxCandidates caps the number of candidates passed to the refine
-	// stage; candidates are first sorted by the number of shared pivots
-	// (descending), the "additional filtering step" the paper applies
-	// for expensive distances. 0 means no cap.
+	// stage, keeping those that share the most pivots with the query
+	// (smaller ids first among equal counts): the "additional filtering
+	// step" the paper applies for expensive distances. 0 means no cap.
 	MaxCandidates int
 	// Seed drives pivot sampling.
 	Seed int64
@@ -103,10 +105,11 @@ type nappScratch struct {
 	perm     permutation.Scratch
 	counters scratch.Counters
 	cands    []uint32
-	// sel holds (candidate, shared-pivot score) pairs for the
-	// MaxCandidates partial selection.
-	sel   []topk.Neighbor
-	queue topk.Queue
+	// counts and ties are the MaxCandidates trim's buffers: the shared
+	// pivot count of each candidate, and the ids tied at the cut-off count.
+	counts []uint8
+	ties   []uint32
+	queue  topk.Queue
 }
 
 // NewNAPP samples pivots and builds the inverted file (in parallel).
@@ -214,8 +217,8 @@ func (na *NAPP[T]) search(s *nappScratch, tr *obs.QueryTrace, dst []topk.Neighbo
 	if tr != nil {
 		t0 = time.Now()
 	}
-	qorder := na.pivots.OrderWith(&s.perm, query)
 	ms := na.opts.NumPivotSearch
+	qorder := na.pivots.OrderPrefixWith(&s.perm, query, ms)
 	t := na.opts.MinShared
 
 	// ScanCount merge: one counter per data point, logically zeroed per
@@ -223,7 +226,7 @@ func (na *NAPP[T]) search(s *nappScratch, tr *obs.QueryTrace, dst []topk.Neighbo
 	// Counts fit a byte because ms is capped at 255.
 	s.counters.Begin(len(na.data))
 	cands := s.cands[:0]
-	for _, p := range qorder[:ms] {
+	for _, p := range qorder {
 		for _, id := range na.postings[p] {
 			if int(s.counters.Inc(id)) == t {
 				cands = append(cands, id)
@@ -245,25 +248,56 @@ func (na *NAPP[T]) search(s *nappScratch, tr *obs.QueryTrace, dst []topk.Neighbo
 		t0 = time.Now()
 	}
 	if max := na.opts.MaxCandidates; max > 0 && len(cands) > max {
-		// Additional filtering for expensive distances: prefer
-		// candidates sharing more pivots with the query, then smaller
-		// ids for determinism. Scoring by negated count turns that into
-		// the (Dist, ID) order of topk.SelectK, whose partial selection
-		// replaces the former full sort of all candidates.
-		sel := s.sel[:0]
+		counts := s.counts[:0]
 		for _, id := range cands {
-			sel = append(sel, topk.Neighbor{ID: id, Dist: -float64(s.counters.Count(id))})
+			counts = append(counts, s.counters.Count(id))
 		}
-		s.sel = sel
-		best := topk.SelectK(sel, max)
-		cands = cands[:0]
-		for _, c := range best {
-			cands = append(cands, c.ID)
-		}
+		s.counts = counts
+		cands, s.ties = trimShared(cands, counts, max, s.ties)
 	}
 	s.cands = cands
 	if tr != nil {
 		obs.AddSince(&tr.MergeNs, t0)
 	}
 	return refineInto(na.sp, na.data, query, cands, k, &s.queue, dst, tr)
+}
+
+// trimShared is NAPP's "additional filtering step" for expensive distances:
+// it keeps the limit candidates that share the most pivots with the query,
+// smaller ids first among equal counts, the (count desc, id asc) set.
+// counts[i] is the shared count of cands[i] and len(cands) > limit > 0.
+//
+// Counts are bytes, so one 256-bucket histogram finds the cut-off count th:
+// every candidate above th is kept, and of those at th only the smallest
+// ids that fill limit, found by a quickselect over just the tied ids. The
+// kept candidates stay in cands order, compacted in place; ties is scratch
+// returned for reuse.
+func trimShared(cands []uint32, counts []uint8, limit int, ties []uint32) (kept, _ []uint32) {
+	var hist [256]int
+	for _, c := range counts {
+		hist[c]++
+	}
+	th, above := 255, 0
+	for above+hist[th] < limit {
+		above += hist[th]
+		th--
+	}
+	cut := ^uint32(0) // largest id kept at th
+	if need := limit - above; need < hist[th] {
+		ties = ties[:0]
+		for i, id := range cands {
+			if int(counts[i]) == th {
+				ties = append(ties, id)
+			}
+		}
+		topk.SelectFunc(ties, need, cmp.Compare[uint32])
+		cut = slices.Max(ties[:need])
+	}
+	kept = cands[:0]
+	for i, id := range cands {
+		if c := int(counts[i]); c > th || c == th && id <= cut {
+			kept = append(kept, id)
+		}
+	}
+	return kept, ties
 }

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/permutation"
+)
 
 // Dynamic maintenance. §3.5 of the paper argues that inverted-file
 // permutation indexes are database-friendly partly because "deletion and
@@ -25,8 +29,8 @@ import "fmt"
 func (na *NAPP[T]) Add(x T) uint32 {
 	id := uint32(len(na.data))
 	na.data = append(na.data, x)
-	order := na.pivots.Order(x, nil)
-	for _, p := range order[:na.opts.NumPivotIndex] {
+	var ps permutation.Scratch
+	for _, p := range na.pivots.OrderPrefixWith(&ps, x, na.opts.NumPivotIndex) {
 		na.postings[p] = append(na.postings[p], id)
 	}
 	na.mutSeq++

@@ -69,6 +69,7 @@ type quantScratch struct {
 	perm  permutation.Scratch
 	qsig  permutation.Quantized
 	cands []topk.Neighbor
+	ids   []uint32
 	queue topk.Queue
 }
 
@@ -181,5 +182,6 @@ func (f *QuantFilter[T]) search(s *quantScratch, tr *obs.QueryTrace, dst []topk.
 	if tr != nil {
 		obs.AddSince(&tr.MergeNs, t0)
 	}
-	return refineTopInto(f.sp, f.data, query, best, k, &s.queue, dst, tr)
+	s.ids = candidateIDs(s.ids, best)
+	return refineInto(f.sp, f.data, query, s.ids, k, &s.queue, dst, tr)
 }

@@ -22,6 +22,10 @@ type QueryTrace struct {
 	// RefineDistances is the number of exact distance evaluations spent
 	// refining candidates (for seqscan, every live point).
 	RefineDistances int64
+	// RefineAbandoned is how many of those evaluations an early-abandoning
+	// distance (space.Bounded) gave up part way, because the candidate
+	// could no longer enter the top k.
+	RefineAbandoned int64
 
 	FilterNs int64 // permutation projection + candidate scan
 	RefineNs int64 // exact-distance refinement loop
@@ -43,6 +47,7 @@ func (t *QueryTrace) Reset() { *t = QueryTrace{} }
 func (t *QueryTrace) Merge(o *QueryTrace) {
 	t.FilterCandidates += o.FilterCandidates
 	t.RefineDistances += o.RefineDistances
+	t.RefineAbandoned += o.RefineAbandoned
 	t.FilterNs += o.FilterNs
 	t.RefineNs += o.RefineNs
 	t.MergeNs += o.MergeNs

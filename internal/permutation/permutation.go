@@ -22,6 +22,7 @@ import (
 	"slices"
 
 	"repro/internal/space"
+	"repro/internal/topk"
 	"repro/internal/vecmath"
 )
 
@@ -161,14 +162,32 @@ func (p *Pivots[T]) PermutationWith(s *Scratch, x T) []int32 {
 	return s.Perm
 }
 
+// OrderPrefixWith computes the first m entries of x's pivot order, the m
+// closest pivots closest first, and returns them: exactly
+// OrderWith(s, x)[:m]. It selects the prefix with quickselect and sorts only
+// that, O(M + m log m) instead of the O(M log M) full sort, for the indexes
+// that consume an order prefix (NAPP, MI-file, PP-index). m is clamped to
+// [0, M]. It reuses s like OrderWith, leaving the prefix in s.Order.
+func (p *Pivots[T]) OrderPrefixWith(s *Scratch, x T, m int) []int32 {
+	s.Dists = p.Distances(x, s.Dists)
+	s.Order = orderPrefixOf(s.Dists, s.Order, m)
+	return s.Order
+}
+
 // orderOf argsorts dists by (distance, index). The generic slices sort keeps
 // it allocation-free when dst already has capacity.
 func orderOf(dists []float64, dst []int32) []int32 {
+	return orderPrefixOf(dists, dst, len(dists))
+}
+
+// orderPrefixOf returns, in dst's storage, the indices of the m smallest of
+// dists by (distance, index), in that order.
+func orderPrefixOf(dists []float64, dst []int32, m int) []int32 {
 	dst = dst[:0]
 	for i := range dists {
 		dst = append(dst, int32(i))
 	}
-	slices.SortFunc(dst, func(a, b int32) int {
+	byDist := func(a, b int32) int {
 		da, db := dists[a], dists[b]
 		switch {
 		case da < db:
@@ -182,8 +201,11 @@ func orderOf(dists []float64, dst []int32) []int32 {
 		default:
 			return 0
 		}
-	})
-	return dst
+	}
+	m = min(max(m, 0), len(dst))
+	topk.SelectFunc(dst, m, byDist)
+	slices.SortFunc(dst[:m], byDist)
+	return dst[:m]
 }
 
 // invert turns an order into a permutation (or vice versa: the inverse of a

@@ -3,6 +3,7 @@ package permutation
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -405,4 +406,84 @@ func TestScratchEntryPointsMatchAllocating(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("warm OrderWith allocates %v times per run", avg)
 	}
+}
+
+// sortedOrder is an independent reference for orderOf: a stable sort by
+// distance alone, which breaks ties toward the smaller index.
+func sortedOrder(dists []float64) []int32 {
+	order := make([]int32, len(dists))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.SliceStable(order, func(a, b int) bool { return dists[order[a]] < dists[order[b]] })
+	return order
+}
+
+// TestOrderPrefixMatchesFullOrder checks the partial pivot order against a
+// full sort on tie-heavy distance vectors: every prefix length, including
+// the clamped ones, yields exactly the full order's prefix.
+func TestOrderPrefixMatchesFullOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	var dst []int32
+	for _, width := range []int{0, 1, 2, 3, 12, 13, 16, 64, 255, 256, 513} {
+		for rep := 0; rep < 4; rep++ {
+			dists := make([]float64, width)
+			for i := range dists {
+				// A handful of distinct values (signed zeros and
+				// infinity among them), so most comparisons tie.
+				dists[i] = []float64{0, math.Copysign(0, -1), 1, 1, 2, 3.5, math.Inf(1)}[r.Intn(7)]
+			}
+			want := sortedOrder(dists)
+			if full := orderOf(dists, nil); !eq32(full, want) {
+				t.Fatalf("width %d: orderOf = %v, want %v", width, full, want)
+			}
+			for m := -1; m <= width+1; m++ {
+				dst = orderPrefixOf(dists, dst, m)
+				if p := min(max(m, 0), width); !eq32(dst, want[:p]) {
+					t.Fatalf("width %d m %d: prefix = %v, want %v", width, m, dst, want[:p])
+				}
+			}
+		}
+	}
+}
+
+// TestOrderPrefixWithMatchesOrder checks the public entry point on real
+// pivots and that a warm Scratch keeps it allocation-free.
+func TestOrderPrefixWithMatchesOrder(t *testing.T) {
+	pivots, a, b, c, d := figure1()
+	var s Scratch
+	for _, x := range [][]float32{a, b, c, d} {
+		want := pivots.Order(x, nil)
+		for m := 0; m <= pivots.M(); m++ {
+			if got := pivots.OrderPrefixWith(&s, x, m); !eq32(got, want[:m]) {
+				t.Fatalf("OrderPrefixWith(m=%d) = %v, want %v", m, got, want[:m])
+			}
+		}
+	}
+	if avg := testing.AllocsPerRun(20, func() {
+		pivots.OrderPrefixWith(&s, a, 2)
+	}); avg != 0 {
+		t.Errorf("warm OrderPrefixWith allocates %v times per run", avg)
+	}
+}
+
+// BenchmarkOrder256 times the query pivot order over 256 precomputed
+// distances: the full sort against the 16-prefix NAPP consumes.
+func BenchmarkOrder256(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	dists := make([]float64, 256)
+	for i := range dists {
+		dists[i] = r.Float64()
+	}
+	var dst []int32
+	b.Run("full", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			dst = orderOf(dists, dst)
+		}
+	})
+	b.Run("prefix16", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			dst = orderPrefixOf(dists, dst, 16)
+		}
+	})
 }

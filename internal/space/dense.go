@@ -13,6 +13,17 @@ type L2 struct{}
 // Distance returns the Euclidean distance between data and query.
 func (L2) Distance(data, query []float32) float64 { return vecmath.L2(data, query) }
 
+// DistanceBounded implements Bounded with vecmath.L2SqrBounded.
+func (L2) DistanceBounded(data, query []float32, bound float64) (float64, bool) {
+	sq, ok := vecmath.L2SqrBounded(data, query, bound*bound)
+	if d := math.Sqrt(sq); ok || d > bound {
+		return d, ok
+	}
+	// bound*bound rounded below the true square, so the partial sum does
+	// not prove the distance exceeds bound: finish it.
+	return vecmath.L2(data, query), true
+}
+
 // Name implements Space.
 func (L2) Name() string { return "l2" }
 

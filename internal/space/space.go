@@ -39,6 +39,19 @@ type Space[T any] interface {
 	Properties() Properties
 }
 
+// Bounded is implemented by spaces whose distance can give up part way once
+// it is known to exceed a bound, the early-abandoning refine of
+// filter-and-refine search. DistanceBounded returns (Distance(data, query),
+// true) bit for bit, or ok=false only when Distance(data, query) is strictly
+// greater than bound (d is then a lower bound, not the distance). A
+// distance equal to the bound is always completed, because the refine queue
+// breaks such ties by id. Spaces whose partial sums can decrease (the
+// divergences, whose per-bin terms may round below zero) do not implement
+// it.
+type Bounded[T any] interface {
+	DistanceBounded(data, query T, bound float64) (d float64, ok bool)
+}
+
 // Counter wraps a Space and counts distance evaluations. Experiments use it
 // to report the number of distance computations alongside wall-clock time,
 // and tests use it to verify pruning actually prunes.

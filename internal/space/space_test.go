@@ -165,6 +165,37 @@ func genSignature(r *rand.Rand) Signature {
 	return sig
 }
 
+// TestL2DistanceBounded checks the Bounded contract of L2: a completed
+// distance is Distance bit for bit, it gives up only on a distance strictly
+// greater than the bound, and a distance equal to the bound completes.
+func TestL2DistanceBounded(t *testing.T) {
+	var _ Bounded[[]float32] = L2{}
+	r := rand.New(rand.NewSource(21))
+	for _, dim := range []int{1, 31, 32, 33, 64, 128, 129} {
+		for rep := 0; rep < 50; rep++ {
+			a := make([]float32, dim)
+			b := make([]float32, dim)
+			for i := range a {
+				a[i] = float32(r.NormFloat64() * 50)
+				b[i] = float32(r.NormFloat64() * 50)
+				if rep%2 == 1 && i >= 32 {
+					b[i] = a[i] // the distance is known at the first checkpoint
+				}
+			}
+			want := L2{}.Distance(a, b)
+			for _, bound := range []float64{0, want / 2, math.Nextafter(want, 0), want, math.Nextafter(want, math.Inf(1)), math.Inf(1)} {
+				got, ok := L2{}.DistanceBounded(a, b, bound)
+				if ok && got != want {
+					t.Fatalf("dim %d bound %v: completed with %v, Distance = %v", dim, bound, got, want)
+				}
+				if !ok && !(want > bound) {
+					t.Fatalf("dim %d: gave up at bound %v, Distance = %v", dim, bound, want)
+				}
+			}
+		}
+	}
+}
+
 func TestAxiomsDense(t *testing.T) {
 	gen := genDense(16)
 	for _, sp := range []Space[[]float32]{L2{}, L1{}} {

@@ -276,6 +276,59 @@ func SelectK(ns []Neighbor, k int) []Neighbor {
 	return prefix
 }
 
+// SelectFunc rearranges xs so that its k smallest elements under cmp occupy
+// xs[:k], in arbitrary order: the quickselect half of SelectK for any
+// element type. cmp must be a total order under which no two elements of
+// xs are equal (break ties by a unique key such as an id), which makes the
+// selected set canonical and keeps the partition from degrading on
+// repeated keys. k outside (0, len(xs)) leaves xs as it is. It does not
+// allocate. SelectK keeps its own quickselect because the comparator call
+// here does not inline: on Neighbor slices SelectFunc is about half as fast.
+func SelectFunc[E any](xs []E, k int, cmp func(a, b E) int) {
+	lo, hi := 0, len(xs)-1
+	if k <= 0 || k > hi {
+		return
+	}
+	for lo < hi {
+		if hi-lo < 12 {
+			for i := lo + 1; i <= hi; i++ {
+				for j := i; j > lo && cmp(xs[j], xs[j-1]) < 0; j-- {
+					xs[j], xs[j-1] = xs[j-1], xs[j]
+				}
+			}
+			return
+		}
+		// Median of three moved to hi, then a Lomuto partition.
+		mid := lo + (hi-lo)/2
+		if cmp(xs[mid], xs[lo]) < 0 {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if cmp(xs[hi], xs[lo]) < 0 {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if cmp(xs[mid], xs[hi]) < 0 {
+			xs[mid], xs[hi] = xs[hi], xs[mid]
+		}
+		pivot := xs[hi]
+		store := lo
+		for i := lo; i < hi; i++ {
+			if cmp(xs[i], pivot) < 0 {
+				xs[i], xs[store] = xs[store], xs[i]
+				store++
+			}
+		}
+		xs[store], xs[hi] = xs[hi], xs[store]
+		switch {
+		case store == k:
+			return
+		case store < k:
+			lo = store + 1
+		default:
+			hi = store - 1
+		}
+	}
+}
+
 // less orders neighbors by (Dist, ID).
 func less(a, b Neighbor) bool {
 	if a.Dist != b.Dist {

@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"cmp"
 	"math/rand"
 	"sort"
 	"testing"
@@ -392,5 +393,39 @@ func TestHotPathPrimitivesDoNotAllocate(t *testing.T) {
 		dst = q.AppendResults(dst[:0])
 	}); avg != 0 {
 		t.Errorf("queue Reset/Push/AppendResults cycle allocates %v times per run", avg)
+	}
+}
+
+// TestSelectFuncMatchesSort checks the generic quickselect: for every k the
+// prefix holds exactly the k smallest, in any order, and out-of-range k
+// leaves the slice untouched.
+func TestSelectFuncMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	for _, n := range []int{0, 1, 2, 11, 12, 13, 100, 1000} {
+		xs := make([]uint32, n)
+		for i, v := range r.Perm(3 * (n + 1))[:n] {
+			xs[i] = uint32(v)
+		}
+		sorted := append([]uint32(nil), xs...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		for k := -1; k <= n+1; k++ {
+			ys := append([]uint32(nil), xs...)
+			SelectFunc(ys, k, cmp.Compare[uint32])
+			if k <= 0 || k >= n {
+				for i := range ys {
+					if ys[i] != xs[i] {
+						t.Fatalf("n %d k %d: slice changed", n, k)
+					}
+				}
+				continue
+			}
+			prefix := append([]uint32(nil), ys[:k]...)
+			sort.Slice(prefix, func(i, j int) bool { return prefix[i] < prefix[j] })
+			for i := range prefix {
+				if prefix[i] != sorted[i] {
+					t.Fatalf("n %d k %d: prefix %v, want %v", n, k, prefix, sorted[:k])
+				}
+			}
+		}
 	}
 }

@@ -11,6 +11,7 @@ package vecmath
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -92,6 +93,13 @@ func BenchmarkL2SqrKernels(b *testing.B) {
 		b.Run(benchName("f32", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sinkF64 = L2SqrF32(x, y)
+			}
+		})
+		// The bounded kernel with a bound it never reaches: the price
+		// of its checkpoints when nothing is abandoned.
+		b.Run(benchName("f64-bounded", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkF64, _ = L2SqrBounded(x, y, math.Inf(1))
 			}
 		})
 	}

@@ -7,6 +7,7 @@ package vecmath
 // for the nibble kernel, every partial-word tail (width mod 16 = 0..15).
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -58,6 +59,9 @@ func TestRankKernelsPanicOnLengthMismatch(t *testing.T) {
 		"Footrule":    func() { Footrule(make([]int32, 3), make([]int32, 4)) },
 		"NibbleL1":    func() { NibbleL1(make([]uint64, 1), make([]uint64, 2)) },
 		"L2SqrF32":    func() { L2SqrF32(make([]float32, 3), make([]float32, 4)) },
+		"L2SqrBounded": func() {
+			L2SqrBounded(make([]float32, 3), make([]float32, 4), math.Inf(1))
+		},
 	} {
 		func() {
 			defer func() {
@@ -153,6 +157,48 @@ func TestL2SqrF32MatchesRef(t *testing.T) {
 			got, want := L2SqrF32(a, b), L2SqrF32Ref(a, b)
 			if got != want {
 				t.Fatalf("width %d: L2SqrF32 = %v, ref = %v (must be byte-identical)", width, got, want)
+			}
+		}
+	}
+}
+
+// TestL2SqrBoundedMatchesL2Sqr pins the early-abandoning kernel against
+// L2Sqr: a completed distance is byte-identical, an abandoned one is only
+// ever reported when the full distance is strictly greater than the bound,
+// and a distance equal to the bound (the tie the refine stage breaks by id)
+// always completes.
+func TestL2SqrBoundedMatchesL2Sqr(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	for width := 0; width <= 129; width++ {
+		for rep := 0; rep < 8; rep++ {
+			a := make([]float32, width)
+			b := make([]float32, width)
+			for i := range a {
+				a[i] = float32(r.NormFloat64() * 100)
+				b[i] = float32(r.NormFloat64() * 100)
+				if rep%2 == 1 && i >= l2Checkpoint {
+					// Equal past the first checkpoint: the partial
+					// sum there already is the distance, so a bound
+					// equal to it is a tie at a checkpoint.
+					b[i] = a[i]
+				}
+			}
+			want := L2Sqr(a, b)
+			for _, bound := range []float64{0, math.Inf(1), want, math.Nextafter(want, 0), math.Nextafter(want, math.Inf(1)), want / 2} {
+				got, ok := L2SqrBounded(a, b, bound)
+				switch {
+				case ok && got != want:
+					t.Fatalf("width %d bound %v: completed with %v, L2Sqr = %v (must be byte-identical)", width, bound, got, want)
+				case !ok && !(got > bound && got <= want && want > bound):
+					t.Fatalf("width %d bound %v: abandoned at partial %v, L2Sqr = %v", width, bound, got, want)
+				case !ok && bound >= want:
+					t.Fatalf("width %d: abandoned at bound %v >= L2Sqr %v", width, bound, want)
+				}
+			}
+			// With a zero bound any width past the first checkpoint
+			// gives up there: every random lane differs.
+			if _, ok := L2SqrBounded(a, b, 0); width > l2Checkpoint && ok {
+				t.Fatalf("width %d: bound 0 did not abandon", width)
 			}
 		}
 	}

@@ -36,6 +36,49 @@ func L2Sqr(a, b []float32) float64 {
 	return s0 + s1 + s2 + s3
 }
 
+// l2Checkpoint is how many dimensions L2SqrBounded accumulates between two
+// comparisons of its partial sum against the bound (a multiple of 4).
+const l2Checkpoint = 32
+
+// L2SqrBounded is L2Sqr for a caller that only needs the distance when it
+// is at most bound: every l2Checkpoint dimensions it gives up, returning
+// the partial sum and ok=false, if that sum is strictly greater than bound.
+// Its lanes accumulate exactly as in L2Sqr, and adding non-negative terms
+// never makes a float sum smaller, so a partial sum never exceeds the full
+// one: ok=false proves L2Sqr(a, b) > bound, and ok=true returns L2Sqr(a, b)
+// bit for bit. A distance equal to the bound always completes.
+// It panics if the slices have different lengths.
+func L2SqrBounded(a, b []float32, bound float64) (d float64, ok bool) {
+	if len(a) != len(b) {
+		panic("vecmath: length mismatch")
+	}
+	var s0, s1, s2, s3 float64
+	n4 := len(a) &^ 3
+	i := 0
+	for i < n4 {
+		for stop := min(i+l2Checkpoint, n4); i < stop; i += 4 {
+			d0 := float64(a[i]) - float64(b[i])
+			d1 := float64(a[i+1]) - float64(b[i+1])
+			d2 := float64(a[i+2]) - float64(b[i+2])
+			d3 := float64(a[i+3]) - float64(b[i+3])
+			s0 += d0 * d0
+			s1 += d1 * d1
+			s2 += d2 * d2
+			s3 += d3 * d3
+		}
+		if i < len(a) {
+			if p := s0 + s1 + s2 + s3; p > bound {
+				return p, false
+			}
+		}
+	}
+	for ; i < len(a); i++ {
+		d := float64(a[i]) - float64(b[i])
+		s0 += d * d
+	}
+	return s0 + s1 + s2 + s3, true
+}
+
 // L2 returns the Euclidean distance between a and b.
 func L2(a, b []float32) float64 {
 	return math.Sqrt(L2Sqr(a, b))
