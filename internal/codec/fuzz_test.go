@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -40,7 +41,10 @@ func fuzzCorpus() [][]float32 {
 // fuzzSeeds builds one valid blob per representative kind over the fuzz
 // corpus. Every structural family is covered: flat arrays (brute-force),
 // posting lists (napp), recursive trees (vptree), adjacency lists
-// (sw-graph), hash tables (mplsh), and the empty payload (seqscan).
+// (sw-graph), hash tables (mplsh), the empty payload (seqscan), and the
+// other three signature filters (bin, quant, distvec). New builders are
+// appended so the existing seed-valid-N files keep their numbers;
+// TestSeedCorpusPinsFormat holds every blob to its checked-in file.
 func fuzzSeeds(tb testing.TB) [][]byte {
 	data := fuzzCorpus()
 	sp := space.L2{}
@@ -65,6 +69,15 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		},
 		func() (index.Index[[]float32], error) {
 			return seqscan.New[[]float32](sp, data), nil
+		},
+		func() (index.Index[[]float32], error) {
+			return core.NewBinFilter[[]float32](sp, data, core.BinFilterOptions{NumPivots: 8, Seed: 3})
+		},
+		func() (index.Index[[]float32], error) {
+			return core.NewQuantFilter[[]float32](sp, data, core.QuantFilterOptions{NumPivots: 8, PrefixLen: 6, Seed: 3})
+		},
+		func() (index.Index[[]float32], error) {
+			return core.NewDistVecFilter[[]float32](sp, data, core.BruteForceOptions{NumPivots: 8, Seed: 3})
 		},
 	}
 	var out [][]byte
@@ -119,8 +132,9 @@ func FuzzLoad(f *testing.F) {
 // testdata/fuzz/FuzzLoad when WRITE_FUZZ_CORPUS is set (it is a maintenance
 // tool, not a test: run it after any format change and commit the output).
 // The corpus duplicates the f.Add seeds on disk so `go test -fuzz` starts
-// from real blobs even in checkouts where the builders have drifted, and so
-// minimized crash inputs have a stable home.
+// from real blobs and minimized crash inputs have a stable home. The
+// seed-valid-N files double as the format pin (TestSeedCorpusPinsFormat):
+// regenerate them only for a deliberate format change.
 func TestWriteSeedCorpus(t *testing.T) {
 	if os.Getenv("WRITE_FUZZ_CORPUS") == "" {
 		t.Skip("set WRITE_FUZZ_CORPUS=1 to regenerate testdata/fuzz/FuzzLoad")
@@ -159,6 +173,31 @@ func TestFuzzSeedsRoundtrip(t *testing.T) {
 		}
 		if got := idx.Search(data[1], 3); len(got) == 0 {
 			t.Errorf("seed %d (%s) returned no results", i, idx.Name())
+		}
+	}
+}
+
+// TestSeedCorpusPinsFormat pins the on-disk format: every seed builder must
+// still produce, byte for byte, the seed-valid-N blob checked in under
+// testdata/fuzz/FuzzLoad. A refactor that changes what Save writes for any
+// seeded kind fails here rather than silently orphaning saved files.
+func TestSeedCorpusPinsFormat(t *testing.T) {
+	for i, seed := range fuzzSeeds(t) {
+		name := fmt.Sprintf("seed-valid-%d", i)
+		body, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoad", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		quoted, ok := strings.CutPrefix(string(body), "go test fuzz v1\n[]byte(")
+		if ok {
+			quoted, ok = strings.CutSuffix(quoted, ")\n")
+		}
+		want, err := strconv.Unquote(quoted)
+		if !ok || err != nil {
+			t.Fatalf("%s: not a single []byte corpus entry", name)
+		}
+		if !bytes.Equal(seed, []byte(want)) {
+			t.Errorf("%s: builder output (%d bytes) differs from the checked-in blob (%d bytes)", name, len(seed), len(want))
 		}
 	}
 }

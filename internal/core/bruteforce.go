@@ -2,13 +2,9 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
-	"time"
 
-	"repro/internal/index"
-	"repro/internal/obs"
+	"repro/internal/codec"
 	"repro/internal/permutation"
-	"repro/internal/scratch"
 	"repro/internal/space"
 	"repro/internal/topk"
 )
@@ -34,10 +30,11 @@ type BruteForceOptions struct {
 	Seed int64
 }
 
-func (o *BruteForceOptions) defaults() {
+func (o *BruteForceOptions) defaults(n int) {
 	if o.NumPivots <= 0 {
 		o.NumPivots = 128
 	}
+	o.NumPivots = min(o.NumPivots, n)
 	if o.Gamma <= 0 {
 		o.Gamma = 0.02
 	}
@@ -48,150 +45,83 @@ func (o *BruteForceOptions) defaults() {
 // gamma-nearest ones by incremental sorting, and refines them with the true
 // distance. Simple, database-friendly, and per Figure 4 competitive when the
 // distance is expensive (SQFD, normalized Levenshtein).
-type BruteForceFilter[T any] struct {
-	sp      space.Space[T]
-	data    []T
-	pivots  *permutation.Pivots[T]
-	perms   []int32 // flattened n x m
-	opts    BruteForceOptions
-	scratch scratch.Pool[bfScratch]
-}
-
-// bfScratch is the per-query state of one brute-force filter search: the
-// query permutation buffers, the n-wide candidate scoring slab, and the
-// refine queue.
-type bfScratch struct {
-	perm  permutation.Scratch
-	cands []topk.Neighbor
-	ids   []uint32
-	queue topk.Queue
-}
+type BruteForceFilter[T any] = scanFilter[T, *rankCodec[T]]
 
 // NewBruteForceFilter samples pivots and computes the permutation of every
 // data point (in parallel).
 func NewBruteForceFilter[T any](sp space.Space[T], data []T, opts BruteForceOptions) (*BruteForceFilter[T], error) {
-	opts.defaults()
-	if len(data) == 0 {
-		return nil, fmt.Errorf("core: empty data set")
+	opts.defaults(len(data))
+	if err := opts.Dist.validate(); err != nil {
+		return nil, err
 	}
-	if opts.NumPivots > len(data) {
-		opts.NumPivots = len(data)
-	}
-	r := rand.New(rand.NewSource(opts.Seed))
-	pv, err := permutation.Sample(r, sp, data, opts.NumPivots)
-	if err != nil {
-		return nil, fmt.Errorf("core: sampling pivots: %w", err)
-	}
-	return &BruteForceFilter[T]{
-		sp:     sp,
-		data:   data,
-		pivots: pv,
-		perms:  computePermutations(pv, data),
-		opts:   opts,
-	}, nil
+	return newScanFilter(sp, data, &rankCodec[T]{opts: opts})
 }
 
-// Name implements index.Index.
-func (f *BruteForceFilter[T]) Name() string { return "brute-force-filt" }
-
-// Stats implements index.Sized.
-func (f *BruteForceFilter[T]) Stats() index.Stats {
-	return index.Stats{
-		Bytes:          int64(len(f.perms)) * 4,
-		BuildDistances: int64(len(f.data)) * int64(f.pivots.M()),
-	}
+// LoadBruteForceFilter reads a filter saved by Save over the same data.
+func LoadBruteForceFilter[T any](cr *codec.Reader, sp space.Space[T], data []T) (*BruteForceFilter[T], error) {
+	return loadScanFilter(cr, sp, data, &rankCodec[T]{})
 }
 
-// Pivots exposes the pivot set (used by the projection-quality experiments).
-func (f *BruteForceFilter[T]) Pivots() *permutation.Pivots[T] { return f.pivots }
-
-// SetGamma adjusts the candidate fraction without rebuilding (gamma only
-// affects search). Not safe to call concurrently with Search.
-func (f *BruteForceFilter[T]) SetGamma(gamma float64) {
-	if gamma > 0 {
-		f.opts.Gamma = gamma
-	}
+// rankCodec stores full permutations (32-bit ranks) compared by Spearman's
+// rho or the Footrule.
+type rankCodec[T any] struct {
+	opts  BruteForceOptions
+	perms []int32 // flattened n x m
 }
 
-// Gamma returns the current candidate fraction.
-func (f *BruteForceFilter[T]) Gamma() float64 { return f.opts.Gamma }
+func (c *rankCodec[T]) kind() string           { return codec.KindBruteForce }
+func (c *rankCodec[T]) sampling() (int, int64) { return c.opts.NumPivots, c.opts.Seed }
+func (c *rankCodec[T]) gamma() *float64        { return &c.opts.Gamma }
+func (c *rankCodec[T]) useHeap() bool          { return c.opts.UseHeap }
+func (c *rankCodec[T]) bytes() int64           { return int64(len(c.perms)) * 4 }
 
-// RankAll returns every data point ranked by permutation distance from the
-// query, nearest first. It is the raw filtering stage, exposed for the
-// Figure 3 experiments (recall vs. fraction of candidates scanned).
-func (f *BruteForceFilter[T]) RankAll(query T) []topk.Neighbor {
-	qperm := f.pivots.Permutation(query, nil)
-	m := f.pivots.M()
-	out := make([]topk.Neighbor, len(f.data))
-	for i := range f.data {
-		out[i] = topk.Neighbor{
-			ID:   uint32(i),
-			Dist: f.opts.Dist.distance(qperm, f.perms[i*m:(i+1)*m]),
+func (c *rankCodec[T]) encodeRows(pv *permutation.Pivots[T], data []T) {
+	c.perms = computePermutations(pv, data)
+}
+
+func (c *rankCodec[T]) encodeQuery(pv *permutation.Pivots[T], q *querySig, query T) {
+	pv.PermutationWith(&q.perm, query)
+}
+
+func (c *rankCodec[T]) scoreRows(q *querySig, lo, hi int, out []topk.Neighbor) {
+	m, qperm := c.opts.NumPivots, q.perm.Perm
+	if c.opts.Dist == FootruleDist {
+		for i := lo; i < hi; i++ {
+			out[i-lo] = topk.Neighbor{ID: uint32(i), Dist: permutation.Footrule(qperm, c.perms[i*m:(i+1)*m])}
 		}
+		return
 	}
-	topk.ByDist(out)
-	return out
+	for i := lo; i < hi; i++ {
+		out[i-lo] = topk.Neighbor{ID: uint32(i), Dist: permutation.SpearmanRho(qperm, c.perms[i*m:(i+1)*m])}
+	}
 }
 
-// Search implements index.Index.
-func (f *BruteForceFilter[T]) Search(query T, k int) []topk.Neighbor {
-	return f.SearchAppend(nil, query, k)
+func (c *rankCodec[T]) save(cw *codec.Writer) {
+	cw.Int(c.opts.NumPivots)
+	cw.F64(c.opts.Gamma)
+	cw.U8(uint8(c.opts.Dist))
+	cw.Bool(c.opts.UseHeap)
+	cw.I64(c.opts.Seed)
+	cw.I32s(c.perms)
 }
 
-// SearchAppend answers like Search but appends the results to dst; with a
-// dst of sufficient capacity a warm call performs zero allocations.
-func (f *BruteForceFilter[T]) SearchAppend(dst []topk.Neighbor, query T, k int) []topk.Neighbor {
-	s := f.scratch.Get()
-	defer f.scratch.Put(s)
-	return f.search(s, nil, dst, query, k)
+func (c *rankCodec[T]) load(cr *codec.Reader) {
+	c.opts.NumPivots = cr.Int()
+	c.opts.Gamma = cr.F64()
+	c.opts.Dist = PermDist(cr.U8())
+	c.opts.UseHeap = cr.Bool()
+	c.opts.Seed = cr.I64()
+	c.perms = cr.I32s()
 }
 
-// NewSearcher implements index.SearcherProvider.
-func (f *BruteForceFilter[T]) NewSearcher() index.Searcher[T] {
-	return &searcher[T, bfScratch]{fn: f.search}
-}
-
-// search is the scratch-threaded hot path shared by Search, SearchAppend
-// and Searchers. When tr is non-nil the filter scan, candidate selection
-// and refinement are attributed to it.
-func (f *BruteForceFilter[T]) search(s *bfScratch, tr *obs.QueryTrace, dst []topk.Neighbor, query T, k int) []topk.Neighbor {
-	if k <= 0 {
-		return dst
+func (c *rankCodec[T]) check(n int) error {
+	if err := c.opts.Dist.validate(); err != nil {
+		return err
 	}
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
+	if len(c.perms) != n*c.opts.NumPivots {
+		return fmt.Errorf("perms=%d, want %d x %d", len(c.perms), n, c.opts.NumPivots)
 	}
-	qperm := f.pivots.PermutationWith(&s.perm, query)
-	m := f.pivots.M()
-	n := len(f.data)
-	g := gammaCount(f.opts.Gamma, n, k)
-
-	cands := scratch.Grow(s.cands, n)
-	s.cands = cands
-	for i := 0; i < n; i++ {
-		cands[i] = topk.Neighbor{
-			ID:   uint32(i),
-			Dist: f.opts.Dist.distance(qperm, f.perms[i*m:(i+1)*m]),
-		}
-	}
-	if tr != nil {
-		tr.FilterCandidates += int64(n)
-		obs.AddSince(&tr.FilterNs, t0)
-		t0 = time.Now()
-	}
-	var best []topk.Neighbor
-	if f.opts.UseHeap {
-		// Ablation-only path; SelectKHeap allocates its queue per call.
-		best = topk.SelectKHeap(cands, g)
-	} else {
-		best = topk.SelectK(cands, g)
-	}
-	if tr != nil {
-		obs.AddSince(&tr.MergeNs, t0)
-	}
-	s.ids = candidateIDs(s.ids, best)
-	return refineInto(f.sp, f.data, query, s.ids, k, &s.queue, dst, tr)
+	return nil
 }
 
 // BinFilterOptions configures NewBinFilter.
@@ -210,12 +140,18 @@ type BinFilterOptions struct {
 	Seed int64
 }
 
-func (o *BinFilterOptions) defaults() {
+func (o *BinFilterOptions) defaults(n int) {
 	if o.NumPivots <= 0 {
 		o.NumPivots = 256
 	}
 	if o.Threshold <= 0 {
 		o.Threshold = o.NumPivots / 2
+	}
+	if o.NumPivots > n {
+		o.NumPivots = n
+		if o.Threshold >= o.NumPivots {
+			o.Threshold = o.NumPivots / 2
+		}
 	}
 	if o.Gamma <= 0 {
 		o.Gamma = 0.02
@@ -227,122 +163,74 @@ func (o *BinFilterOptions) defaults() {
 // distances with XOR + popcount (§2.2). This is the method that wins the DNA
 // experiment (Figure 4f), where 256-bit sketches are 16x smaller than the
 // equivalent full permutations.
-type BinFilter[T any] struct {
-	sp      space.Space[T]
-	data    []T
-	pivots  *permutation.Pivots[T]
-	words   int
-	bits    []uint64 // flattened n x words
-	opts    BinFilterOptions
-	scratch scratch.Pool[binScratch]
-}
-
-// binScratch is the per-query state of one binarized filter search.
-type binScratch struct {
-	perm  permutation.Scratch
-	qbits permutation.Binary
-	cands []topk.Neighbor
-	ids   []uint32
-	queue topk.Queue
-}
+type BinFilter[T any] = scanFilter[T, *binCodec[T]]
 
 // NewBinFilter samples pivots, computes permutations and binarizes them.
 func NewBinFilter[T any](sp space.Space[T], data []T, opts BinFilterOptions) (*BinFilter[T], error) {
-	opts.defaults()
-	if len(data) == 0 {
-		return nil, fmt.Errorf("core: empty data set")
-	}
-	if opts.NumPivots > len(data) {
-		opts.NumPivots = len(data)
-		if opts.Threshold >= opts.NumPivots {
-			opts.Threshold = opts.NumPivots / 2
-		}
-	}
-	r := rand.New(rand.NewSource(opts.Seed))
-	pv, err := permutation.Sample(r, sp, data, opts.NumPivots)
-	if err != nil {
-		return nil, fmt.Errorf("core: sampling pivots: %w", err)
-	}
-	words := permutation.BinaryWords(opts.NumPivots)
-	bits := make([]uint64, len(data)*words)
+	opts.defaults(len(data))
+	return newScanFilter(sp, data, &binCodec[T]{opts: opts})
+}
+
+// LoadBinFilter reads a binarized filter saved by Save over the same data.
+func LoadBinFilter[T any](cr *codec.Reader, sp space.Space[T], data []T) (*BinFilter[T], error) {
+	return loadScanFilter(cr, sp, data, &binCodec[T]{})
+}
+
+// binCodec stores bit-packed binarized permutations compared by Hamming
+// distance.
+type binCodec[T any] struct {
+	opts  BinFilterOptions
+	words int
+	bits  []uint64 // flattened n x words
+}
+
+func (c *binCodec[T]) kind() string           { return codec.KindBinFilter }
+func (c *binCodec[T]) sampling() (int, int64) { return c.opts.NumPivots, c.opts.Seed }
+func (c *binCodec[T]) gamma() *float64        { return &c.opts.Gamma }
+func (c *binCodec[T]) useHeap() bool          { return false }
+func (c *binCodec[T]) bytes() int64           { return int64(len(c.bits)) * 8 }
+
+func (c *binCodec[T]) encodeRows(pv *permutation.Pivots[T], data []T) {
+	w := permutation.BinaryWords(c.opts.NumPivots)
+	c.words, c.bits = w, make([]uint64, len(data)*w)
 	parallelFor(len(data), func(i int) {
-		perm := pv.Permutation(data[i], nil)
-		permutation.Binarize(perm, int32(opts.Threshold), bits[i*words:(i+1)*words])
+		permutation.Binarize(pv.Permutation(data[i], nil), int32(c.opts.Threshold), c.bits[i*w:(i+1)*w])
 	})
-	return &BinFilter[T]{sp: sp, data: data, pivots: pv, words: words, bits: bits, opts: opts}, nil
 }
 
-// Name implements index.Index.
-func (f *BinFilter[T]) Name() string { return "brute-force-filt-bin" }
-
-// SetGamma adjusts the candidate fraction without rebuilding. Not safe to
-// call concurrently with Search.
-func (f *BinFilter[T]) SetGamma(gamma float64) {
-	if gamma > 0 {
-		f.opts.Gamma = gamma
-	}
+func (c *binCodec[T]) encodeQuery(pv *permutation.Pivots[T], q *querySig, query T) {
+	q.words = permutation.Binarize(pv.PermutationWith(&q.perm, query), int32(c.opts.Threshold), q.words)
 }
 
-// Gamma returns the current candidate fraction.
-func (f *BinFilter[T]) Gamma() float64 { return f.opts.Gamma }
-
-// Stats implements index.Sized.
-func (f *BinFilter[T]) Stats() index.Stats {
-	return index.Stats{
-		Bytes:          int64(len(f.bits)) * 8,
-		BuildDistances: int64(len(f.data)) * int64(f.pivots.M()),
+func (c *binCodec[T]) scoreRows(q *querySig, lo, hi int, out []topk.Neighbor) {
+	w := c.words
+	for i := lo; i < hi; i++ {
+		h := permutation.Hamming(q.words, c.bits[i*w:(i+1)*w])
+		out[i-lo] = topk.Neighbor{ID: uint32(i), Dist: float64(h)}
 	}
 }
 
-// Search implements index.Index.
-func (f *BinFilter[T]) Search(query T, k int) []topk.Neighbor {
-	return f.SearchAppend(nil, query, k)
+func (c *binCodec[T]) save(cw *codec.Writer) {
+	cw.Int(c.opts.NumPivots)
+	cw.Int(c.opts.Threshold)
+	cw.F64(c.opts.Gamma)
+	cw.I64(c.opts.Seed)
+	cw.Int(c.words)
+	cw.U64s(c.bits)
 }
 
-// SearchAppend answers like Search but appends the results to dst; with a
-// dst of sufficient capacity a warm call performs zero allocations.
-func (f *BinFilter[T]) SearchAppend(dst []topk.Neighbor, query T, k int) []topk.Neighbor {
-	s := f.scratch.Get()
-	defer f.scratch.Put(s)
-	return f.search(s, nil, dst, query, k)
+func (c *binCodec[T]) load(cr *codec.Reader) {
+	c.opts.NumPivots = cr.Int()
+	c.opts.Threshold = cr.Int()
+	c.opts.Gamma = cr.F64()
+	c.opts.Seed = cr.I64()
+	c.words = cr.Int()
+	c.bits = cr.U64s()
 }
 
-// NewSearcher implements index.SearcherProvider.
-func (f *BinFilter[T]) NewSearcher() index.Searcher[T] {
-	return &searcher[T, binScratch]{fn: f.search}
-}
-
-// search is the scratch-threaded hot path shared by Search, SearchAppend
-// and Searchers.
-func (f *BinFilter[T]) search(s *binScratch, tr *obs.QueryTrace, dst []topk.Neighbor, query T, k int) []topk.Neighbor {
-	if k <= 0 {
-		return dst
+func (c *binCodec[T]) check(n int) error {
+	if c.words != permutation.BinaryWords(c.opts.NumPivots) || len(c.bits) != n*c.words {
+		return fmt.Errorf("m=%d, words=%d, bits=%d", c.opts.NumPivots, c.words, len(c.bits))
 	}
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	qperm := f.pivots.PermutationWith(&s.perm, query)
-	s.qbits = permutation.Binarize(qperm, int32(f.opts.Threshold), s.qbits)
-	n := len(f.data)
-	g := gammaCount(f.opts.Gamma, n, k)
-
-	cands := scratch.Grow(s.cands, n)
-	s.cands = cands
-	w := f.words
-	for i := 0; i < n; i++ {
-		h := permutation.Hamming(s.qbits, f.bits[i*w:(i+1)*w])
-		cands[i] = topk.Neighbor{ID: uint32(i), Dist: float64(h)}
-	}
-	if tr != nil {
-		tr.FilterCandidates += int64(n)
-		obs.AddSince(&tr.FilterNs, t0)
-		t0 = time.Now()
-	}
-	best := topk.SelectK(cands, g)
-	if tr != nil {
-		obs.AddSince(&tr.MergeNs, t0)
-	}
-	s.ids = candidateIDs(s.ids, best)
-	return refineInto(f.sp, f.data, query, s.ids, k, &s.queue, dst, tr)
+	return nil
 }

@@ -10,6 +10,10 @@
 // stage re-ranks the candidates with the true distance. The number of
 // candidates is controlled by a gamma parameter expressed as a fraction of
 // the data set size, exactly as in §2.2 of the paper.
+//
+// The four signature filters (brute-force-filt, -bin, -quant and
+// distvec-filt) are one scan → select → refine shell, scanFilter, and differ
+// only in the codec that encodes and scores their signatures.
 package core
 
 import (
@@ -48,27 +52,24 @@ func (d PermDist) String() string {
 	}
 }
 
-// distance returns the comparison between flattened permutation rows.
-func (d PermDist) distance(a, b []int32) float64 {
-	switch d {
-	case FootruleDist:
-		return permutation.Footrule(a, b)
-	default:
-		return permutation.SpearmanRho(a, b)
+// validate rejects values other than Rho and FootruleDist, which the
+// filters would otherwise silently score as rho.
+func (d PermDist) validate() error {
+	if d != Rho && d != FootruleDist {
+		return fmt.Errorf("core: unknown permutation distance %v", d)
 	}
+	return nil
 }
 
 // gammaCount converts a candidate fraction into an absolute candidate count,
-// clamped to [k, n] so a query can always be answered.
+// clamped to [k, n] so a query can always be answered. A fraction of 1 or
+// more returns n without converting frac*n, which for a huge fraction is
+// out of int range and would wrap negative.
 func gammaCount(frac float64, n, k int) int {
-	g := int(frac * float64(n))
-	if g < k {
-		g = k
+	if frac >= 1 {
+		return n
 	}
-	if g > n {
-		g = n
-	}
-	return g
+	return min(max(int(frac*float64(n)), k), n)
 }
 
 // refineInto computes true distances from the candidates to the query and

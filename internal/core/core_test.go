@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/index"
 	"repro/internal/permutation"
 	"repro/internal/seqscan"
@@ -89,6 +93,13 @@ func TestGammaCount(t *testing.T) {
 	}
 	if g := gammaCount(5, 1000, 10); g != 1000 {
 		t.Fatalf("cap: g = %d, want 1000", g)
+	}
+	// int(frac*n) of these is out of int range; they must still cap at n,
+	// not wrap negative and floor to k.
+	for _, frac := range []float64{1e18, 1e300, math.Inf(1)} {
+		if g := gammaCount(frac, 1000, 10); g != 1000 {
+			t.Fatalf("huge gamma %g: g = %d, want 1000", frac, g)
+		}
 	}
 }
 
@@ -339,6 +350,58 @@ func TestStatsPopulatedEverywhere(t *testing.T) {
 		}
 		if st.BuildDistances <= 0 {
 			t.Fatalf("index %d: zero BuildDistances", i)
+		}
+	}
+}
+
+// TestBruteForceRejectsUnknownDist: a PermDist outside {Rho, FootruleDist}
+// would search as rho while String reports PermDist(n). The constructor
+// refuses it, and so does the loader for a checksum-valid crafted file.
+func TestBruteForceRejectsUnknownDist(t *testing.T) {
+	db := clustered(2, 60, 4)
+	if _, err := NewBruteForceFilter[[]float32](space.L2{}, db, BruteForceOptions{NumPivots: 8, Dist: 7}); err == nil {
+		t.Fatal("NewBruteForceFilter accepted Dist=7")
+	}
+	bf, err := NewBruteForceFilter[[]float32](space.L2{}, db, BruteForceOptions{NumPivots: 8, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forge := func(dist PermDist) []byte {
+		var buf bytes.Buffer
+		cw := codec.NewWriter(&buf, codec.KindBruteForce, space.L2{}.Name(), len(db))
+		cw.I32s(bf.Pivots().SourceIDs())
+		cw.Int(8)
+		cw.F64(bf.Gamma())
+		cw.U8(uint8(dist))
+		cw.Bool(false)
+		cw.I64(2)
+		cw.I32s(bf.codec.perms)
+		if err := cw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var saved bytes.Buffer
+	if err := bf.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(forge(Rho), saved.Bytes()) {
+		t.Fatal("forged rho blob differs from Save output; the forgery no longer matches the format")
+	}
+	for _, dist := range []PermDist{FootruleDist, 2, 7, 255} {
+		cr, err := codec.NewReader(bytes.NewReader(forge(dist)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = LoadBruteForceFilter[[]float32](cr, space.L2{}, db)
+		if dist == FootruleDist {
+			if err != nil {
+				t.Errorf("footrule blob rejected: %v", err)
+			}
+			continue
+		}
+		if !errors.Is(err, codec.ErrCorrupt) {
+			t.Errorf("Dist=%d: load error %v, want ErrCorrupt", dist, err)
 		}
 	}
 }

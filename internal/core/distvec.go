@@ -2,11 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
-	"time"
 
-	"repro/internal/index"
-	"repro/internal/obs"
+	"repro/internal/codec"
 	"repro/internal/permutation"
 	"repro/internal/scratch"
 	"repro/internal/space"
@@ -21,126 +18,76 @@ import (
 // information — performs slightly *better*; this index exists so that claim
 // can be re-verified (BenchmarkAblation_PermVsDistVec and the corresponding
 // test).
-type DistVecFilter[T any] struct {
-	sp      space.Space[T]
-	data    []T
-	pivots  *permutation.Pivots[T]
-	vecs    []float32 // flattened n x m raw distances
-	opts    BruteForceOptions
-	scratch scratch.Pool[dvScratch]
-}
-
-// dvScratch is the per-query state of one distance-vector filter search.
-type dvScratch struct {
-	qd    []float64
-	qv    []float32
-	cands []topk.Neighbor
-	ids   []uint32
-	queue topk.Queue
-}
+type DistVecFilter[T any] = scanFilter[T, *distCodec[T]]
 
 // NewDistVecFilter samples pivots and stores raw pivot-distance vectors.
-// The options are shared with BruteForceFilter; Dist is ignored (the filter
-// always compares by L2 between distance vectors).
+// The options are shared with BruteForceFilter; Dist and UseHeap are
+// ignored (the filter always compares by L2 between distance vectors).
 func NewDistVecFilter[T any](sp space.Space[T], data []T, opts BruteForceOptions) (*DistVecFilter[T], error) {
-	opts.defaults()
-	if len(data) == 0 {
-		return nil, fmt.Errorf("core: empty data set")
-	}
-	if opts.NumPivots > len(data) {
-		opts.NumPivots = len(data)
-	}
-	r := rand.New(rand.NewSource(opts.Seed))
-	pv, err := permutation.Sample(r, sp, data, opts.NumPivots)
-	if err != nil {
-		return nil, fmt.Errorf("core: sampling pivots: %w", err)
-	}
+	opts.defaults(len(data))
+	return newScanFilter(sp, data, &distCodec[T]{opts: opts})
+}
+
+// LoadDistVecFilter reads a filter saved by Save over the same data.
+func LoadDistVecFilter[T any](cr *codec.Reader, sp space.Space[T], data []T) (*DistVecFilter[T], error) {
+	return loadScanFilter(cr, sp, data, &distCodec[T]{})
+}
+
+// distCodec stores raw pivot-distance vectors (float32) compared by squared
+// L2.
+type distCodec[T any] struct {
+	opts BruteForceOptions
+	vecs []float32 // flattened n x m raw distances
+}
+
+func (c *distCodec[T]) kind() string           { return codec.KindDistVec }
+func (c *distCodec[T]) sampling() (int, int64) { return c.opts.NumPivots, c.opts.Seed }
+func (c *distCodec[T]) gamma() *float64        { return &c.opts.Gamma }
+func (c *distCodec[T]) useHeap() bool          { return false }
+func (c *distCodec[T]) bytes() int64           { return int64(len(c.vecs)) * 4 }
+
+func (c *distCodec[T]) encodeRows(pv *permutation.Pivots[T], data []T) {
 	m := pv.M()
-	vecs := make([]float32, len(data)*m)
+	c.vecs = make([]float32, len(data)*m)
 	parallelFor(len(data), func(i int) {
-		ds := pv.Distances(data[i], nil)
-		for j, d := range ds {
-			vecs[i*m+j] = float32(d)
+		for j, d := range pv.Distances(data[i], nil) {
+			c.vecs[i*m+j] = float32(d)
 		}
 	})
-	return &DistVecFilter[T]{sp: sp, data: data, pivots: pv, vecs: vecs, opts: opts}, nil
 }
 
-// Name implements index.Index.
-func (f *DistVecFilter[T]) Name() string { return "distvec-filt" }
-
-// Stats implements index.Sized.
-func (f *DistVecFilter[T]) Stats() index.Stats {
-	return index.Stats{
-		Bytes:          int64(len(f.vecs)) * 4,
-		BuildDistances: int64(len(f.data)) * int64(f.pivots.M()),
+func (c *distCodec[T]) encodeQuery(pv *permutation.Pivots[T], q *querySig, query T) {
+	q.perm.Dists = pv.Distances(query, q.perm.Dists)
+	q.vec = scratch.Grow(q.vec, len(q.perm.Dists))
+	for j, d := range q.perm.Dists {
+		q.vec[j] = float32(d)
 	}
 }
 
-// SetGamma adjusts the candidate fraction without rebuilding.
-func (f *DistVecFilter[T]) SetGamma(gamma float64) {
-	if gamma > 0 {
-		f.opts.Gamma = gamma
+func (c *distCodec[T]) scoreRows(q *querySig, lo, hi int, out []topk.Neighbor) {
+	m := c.opts.NumPivots
+	for i := lo; i < hi; i++ {
+		out[i-lo] = topk.Neighbor{ID: uint32(i), Dist: vecmath.L2Sqr(q.vec, c.vecs[i*m:(i+1)*m])}
 	}
 }
 
-// Gamma returns the current candidate fraction.
-func (f *DistVecFilter[T]) Gamma() float64 { return f.opts.Gamma }
-
-// Search implements index.Index.
-func (f *DistVecFilter[T]) Search(query T, k int) []topk.Neighbor {
-	return f.SearchAppend(nil, query, k)
+func (c *distCodec[T]) save(cw *codec.Writer) {
+	cw.Int(c.opts.NumPivots)
+	cw.F64(c.opts.Gamma)
+	cw.I64(c.opts.Seed)
+	cw.F32s(c.vecs)
 }
 
-// SearchAppend answers like Search but appends the results to dst; with a
-// dst of sufficient capacity a warm call performs zero allocations.
-func (f *DistVecFilter[T]) SearchAppend(dst []topk.Neighbor, query T, k int) []topk.Neighbor {
-	s := f.scratch.Get()
-	defer f.scratch.Put(s)
-	return f.search(s, nil, dst, query, k)
+func (c *distCodec[T]) load(cr *codec.Reader) {
+	c.opts.NumPivots = cr.Int()
+	c.opts.Gamma = cr.F64()
+	c.opts.Seed = cr.I64()
+	c.vecs = cr.F32s()
 }
 
-// NewSearcher implements index.SearcherProvider.
-func (f *DistVecFilter[T]) NewSearcher() index.Searcher[T] {
-	return &searcher[T, dvScratch]{fn: f.search}
-}
-
-// search is the scratch-threaded hot path shared by Search, SearchAppend
-// and Searchers.
-func (f *DistVecFilter[T]) search(s *dvScratch, tr *obs.QueryTrace, dst []topk.Neighbor, query T, k int) []topk.Neighbor {
-	if k <= 0 {
-		return dst
+func (c *distCodec[T]) check(n int) error {
+	if len(c.vecs) != n*c.opts.NumPivots {
+		return fmt.Errorf("vecs=%d, want %d x %d", len(c.vecs), n, c.opts.NumPivots)
 	}
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	m := f.pivots.M()
-	s.qd = f.pivots.Distances(query, s.qd)
-	qv := scratch.Grow(s.qv, m)
-	s.qv = qv
-	for j, d := range s.qd {
-		qv[j] = float32(d)
-	}
-	n := len(f.data)
-	g := gammaCount(f.opts.Gamma, n, k)
-	cands := scratch.Grow(s.cands, n)
-	s.cands = cands
-	for i := 0; i < n; i++ {
-		cands[i] = topk.Neighbor{
-			ID:   uint32(i),
-			Dist: vecmath.L2Sqr(qv, f.vecs[i*m:(i+1)*m]),
-		}
-	}
-	if tr != nil {
-		tr.FilterCandidates += int64(n)
-		obs.AddSince(&tr.FilterNs, t0)
-		t0 = time.Now()
-	}
-	best := topk.SelectK(cands, g)
-	if tr != nil {
-		obs.AddSince(&tr.MergeNs, t0)
-	}
-	s.ids = candidateIDs(s.ids, best)
-	return refineInto(f.sp, f.data, query, s.ids, k, &s.queue, dst, tr)
+	return nil
 }

@@ -20,6 +20,9 @@ import (
 //
 // Indexes built over explicit pivot objects (NewNAPPWithPivots and friends)
 // have no data ids to reference and Save returns codec.ErrNotPersistable.
+//
+// The four signature filters are saved and loaded by their shell
+// (scanFilter.Save, loadScanFilter), each codec writing its own fields.
 
 // savePivots writes the pivot set as source ids, or fails for explicit
 // pivot sets.
@@ -44,172 +47,6 @@ func loadPivots[T any](cr *codec.Reader, sp space.Space[T], data []T) *permutati
 		return nil
 	}
 	return pv
-}
-
-// --- BruteForceFilter ---
-
-// Save serializes the filter under kind "brute-force-filt".
-func (f *BruteForceFilter[T]) Save(w io.Writer) error {
-	cw := codec.NewWriter(w, codec.KindBruteForce, f.sp.Name(), len(f.data))
-	if err := savePivots(cw, f.pivots); err != nil {
-		return err
-	}
-	cw.Int(f.opts.NumPivots)
-	cw.F64(f.opts.Gamma)
-	cw.U8(uint8(f.opts.Dist))
-	cw.Bool(f.opts.UseHeap)
-	cw.I64(f.opts.Seed)
-	cw.I32s(f.perms)
-	return cw.Close()
-}
-
-// LoadBruteForceFilter reads a filter saved by Save over the same data.
-func LoadBruteForceFilter[T any](cr *codec.Reader, sp space.Space[T], data []T) (*BruteForceFilter[T], error) {
-	if err := cr.Expect(codec.KindBruteForce, sp.Name(), len(data)); err != nil {
-		return nil, err
-	}
-	f := &BruteForceFilter[T]{sp: sp, data: data}
-	f.pivots = loadPivots(cr, sp, data)
-	f.opts.NumPivots = cr.Int()
-	f.opts.Gamma = cr.F64()
-	f.opts.Dist = PermDist(cr.U8())
-	f.opts.UseHeap = cr.Bool()
-	f.opts.Seed = cr.I64()
-	f.perms = cr.I32s()
-	if err := cr.Finish(); err != nil {
-		return nil, err
-	}
-	if f.opts.NumPivots != f.pivots.M() || len(f.perms) != len(data)*f.pivots.M() || f.opts.Gamma <= 0 {
-		cr.Corruptf("inconsistent brute-force sections (m=%d, pivots=%d, perms=%d)",
-			f.opts.NumPivots, f.pivots.M(), len(f.perms))
-		return nil, cr.Err()
-	}
-	return f, nil
-}
-
-// --- BinFilter ---
-
-// Save serializes the binarized filter under kind "brute-force-filt-bin".
-func (f *BinFilter[T]) Save(w io.Writer) error {
-	cw := codec.NewWriter(w, codec.KindBinFilter, f.sp.Name(), len(f.data))
-	if err := savePivots(cw, f.pivots); err != nil {
-		return err
-	}
-	cw.Int(f.opts.NumPivots)
-	cw.Int(f.opts.Threshold)
-	cw.F64(f.opts.Gamma)
-	cw.I64(f.opts.Seed)
-	cw.Int(f.words)
-	cw.U64s(f.bits)
-	return cw.Close()
-}
-
-// LoadBinFilter reads a binarized filter saved by Save over the same data.
-func LoadBinFilter[T any](cr *codec.Reader, sp space.Space[T], data []T) (*BinFilter[T], error) {
-	if err := cr.Expect(codec.KindBinFilter, sp.Name(), len(data)); err != nil {
-		return nil, err
-	}
-	f := &BinFilter[T]{sp: sp, data: data}
-	f.pivots = loadPivots(cr, sp, data)
-	f.opts.NumPivots = cr.Int()
-	f.opts.Threshold = cr.Int()
-	f.opts.Gamma = cr.F64()
-	f.opts.Seed = cr.I64()
-	f.words = cr.Int()
-	f.bits = cr.U64s()
-	if err := cr.Finish(); err != nil {
-		return nil, err
-	}
-	if f.opts.NumPivots != f.pivots.M() ||
-		f.words != permutation.BinaryWords(f.opts.NumPivots) ||
-		len(f.bits) != len(data)*f.words || f.opts.Gamma <= 0 {
-		cr.Corruptf("inconsistent bin-filter sections (m=%d, words=%d, bits=%d)",
-			f.opts.NumPivots, f.words, len(f.bits))
-		return nil, cr.Err()
-	}
-	return f, nil
-}
-
-// --- QuantFilter ---
-
-// Save serializes the quantized-prefix filter under kind
-// "brute-force-filt-quant".
-func (f *QuantFilter[T]) Save(w io.Writer) error {
-	cw := codec.NewWriter(w, codec.KindQuantFilter, f.sp.Name(), len(f.data))
-	if err := savePivots(cw, f.pivots); err != nil {
-		return err
-	}
-	cw.Int(f.opts.NumPivots)
-	cw.Int(f.opts.PrefixLen)
-	cw.F64(f.opts.Gamma)
-	cw.I64(f.opts.Seed)
-	cw.Int(f.words)
-	cw.U64s(f.sigs)
-	return cw.Close()
-}
-
-// LoadQuantFilter reads a quantized-prefix filter saved by Save over the
-// same data.
-func LoadQuantFilter[T any](cr *codec.Reader, sp space.Space[T], data []T) (*QuantFilter[T], error) {
-	if err := cr.Expect(codec.KindQuantFilter, sp.Name(), len(data)); err != nil {
-		return nil, err
-	}
-	f := &QuantFilter[T]{sp: sp, data: data}
-	f.pivots = loadPivots(cr, sp, data)
-	f.opts.NumPivots = cr.Int()
-	f.opts.PrefixLen = cr.Int()
-	f.opts.Gamma = cr.F64()
-	f.opts.Seed = cr.I64()
-	f.words = cr.Int()
-	f.sigs = cr.U64s()
-	if err := cr.Finish(); err != nil {
-		return nil, err
-	}
-	if f.opts.NumPivots != f.pivots.M() ||
-		f.opts.PrefixLen <= 0 || f.opts.PrefixLen > f.opts.NumPivots ||
-		f.words != permutation.QuantizedWords(f.opts.PrefixLen) ||
-		len(f.sigs) != len(data)*f.words || f.opts.Gamma <= 0 {
-		cr.Corruptf("inconsistent quant-filter sections (m=%d, prefix=%d, words=%d, sigs=%d)",
-			f.opts.NumPivots, f.opts.PrefixLen, f.words, len(f.sigs))
-		return nil, cr.Err()
-	}
-	return f, nil
-}
-
-// --- DistVecFilter ---
-
-// Save serializes the distance-vector filter under kind "distvec-filt".
-func (f *DistVecFilter[T]) Save(w io.Writer) error {
-	cw := codec.NewWriter(w, codec.KindDistVec, f.sp.Name(), len(f.data))
-	if err := savePivots(cw, f.pivots); err != nil {
-		return err
-	}
-	cw.Int(f.opts.NumPivots)
-	cw.F64(f.opts.Gamma)
-	cw.I64(f.opts.Seed)
-	cw.F32s(f.vecs)
-	return cw.Close()
-}
-
-// LoadDistVecFilter reads a filter saved by Save over the same data.
-func LoadDistVecFilter[T any](cr *codec.Reader, sp space.Space[T], data []T) (*DistVecFilter[T], error) {
-	if err := cr.Expect(codec.KindDistVec, sp.Name(), len(data)); err != nil {
-		return nil, err
-	}
-	f := &DistVecFilter[T]{sp: sp, data: data}
-	f.pivots = loadPivots(cr, sp, data)
-	f.opts.NumPivots = cr.Int()
-	f.opts.Gamma = cr.F64()
-	f.opts.Seed = cr.I64()
-	f.vecs = cr.F32s()
-	if err := cr.Finish(); err != nil {
-		return nil, err
-	}
-	if f.opts.NumPivots != f.pivots.M() || len(f.vecs) != len(data)*f.pivots.M() || f.opts.Gamma <= 0 {
-		cr.Corruptf("inconsistent distvec sections (m=%d, vecs=%d)", f.opts.NumPivots, len(f.vecs))
-		return nil, cr.Err()
-	}
-	return f, nil
 }
 
 // --- PPIndex ---

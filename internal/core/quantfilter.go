@@ -2,13 +2,9 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
-	"time"
 
-	"repro/internal/index"
-	"repro/internal/obs"
+	"repro/internal/codec"
 	"repro/internal/permutation"
-	"repro/internal/scratch"
 	"repro/internal/space"
 	"repro/internal/topk"
 	"repro/internal/vecmath"
@@ -30,16 +26,15 @@ type QuantFilterOptions struct {
 	Seed int64
 }
 
-func (o *QuantFilterOptions) defaults() {
+func (o *QuantFilterOptions) defaults(n int) {
 	if o.NumPivots <= 0 {
 		o.NumPivots = 64
 	}
+	o.NumPivots = min(o.NumPivots, n)
 	if o.PrefixLen <= 0 {
 		o.PrefixLen = 16
 	}
-	if o.PrefixLen > o.NumPivots {
-		o.PrefixLen = o.NumPivots
-	}
+	o.PrefixLen = min(o.PrefixLen, o.NumPivots)
 	if o.Gamma <= 0 {
 		o.Gamma = 0.02
 	}
@@ -54,134 +49,88 @@ func (o *QuantFilterOptions) defaults() {
 // exact Footrule) and binarized sketches (1 bit per rank, Hamming): four
 // bits per rank preserve enough rank geometry to filter well while the scan
 // stays word-wise and cache-linear like the binary one.
-type QuantFilter[T any] struct {
-	sp      space.Space[T]
-	data    []T
-	pivots  *permutation.Pivots[T]
-	words   int
-	sigs    []uint64 // flattened n x words
-	opts    QuantFilterOptions
-	scratch scratch.Pool[quantScratch]
-}
-
-// quantScratch is the per-query state of one quantized filter search.
-type quantScratch struct {
-	perm  permutation.Scratch
-	qsig  permutation.Quantized
-	cands []topk.Neighbor
-	ids   []uint32
-	queue topk.Queue
-}
+type QuantFilter[T any] = scanFilter[T, *quantCodec[T]]
 
 // NewQuantFilter samples pivots, computes permutations and quantizes their
 // prefixes.
 func NewQuantFilter[T any](sp space.Space[T], data []T, opts QuantFilterOptions) (*QuantFilter[T], error) {
-	opts.defaults()
-	if len(data) == 0 {
-		return nil, fmt.Errorf("core: empty data set")
-	}
-	if opts.NumPivots > len(data) {
-		opts.NumPivots = len(data)
-		if opts.PrefixLen > opts.NumPivots {
-			opts.PrefixLen = opts.NumPivots
-		}
-	}
-	r := rand.New(rand.NewSource(opts.Seed))
-	pv, err := permutation.Sample(r, sp, data, opts.NumPivots)
-	if err != nil {
-		return nil, fmt.Errorf("core: sampling pivots: %w", err)
-	}
-	words := permutation.QuantizedWords(opts.PrefixLen)
-	sigs := make([]uint64, len(data)*words)
+	opts.defaults(len(data))
+	return newScanFilter(sp, data, &quantCodec[T]{opts: opts})
+}
+
+// LoadQuantFilter reads a quantized-prefix filter saved by Save over the
+// same data.
+func LoadQuantFilter[T any](cr *codec.Reader, sp space.Space[T], data []T) (*QuantFilter[T], error) {
+	return loadScanFilter(cr, sp, data, &quantCodec[T]{})
+}
+
+// quantCodec stores nibble-packed quantized permutation prefixes compared
+// by their L1 (Footrule) distance.
+type quantCodec[T any] struct {
+	opts  QuantFilterOptions
+	words int
+	sigs  []uint64 // flattened n x words
+}
+
+func (c *quantCodec[T]) kind() string           { return codec.KindQuantFilter }
+func (c *quantCodec[T]) sampling() (int, int64) { return c.opts.NumPivots, c.opts.Seed }
+func (c *quantCodec[T]) gamma() *float64        { return &c.opts.Gamma }
+func (c *quantCodec[T]) useHeap() bool          { return false }
+func (c *quantCodec[T]) bytes() int64           { return int64(len(c.sigs)) * 8 }
+
+func (c *quantCodec[T]) encodeRows(pv *permutation.Pivots[T], data []T) {
+	w := permutation.QuantizedWords(c.opts.PrefixLen)
+	c.words, c.sigs = w, make([]uint64, len(data)*w)
 	parallelFor(len(data), func(i int) {
-		perm := pv.Permutation(data[i], nil)
-		permutation.Quantize(perm, opts.PrefixLen, sigs[i*words:(i+1)*words])
+		permutation.Quantize(pv.Permutation(data[i], nil), c.opts.PrefixLen, c.sigs[i*w:(i+1)*w])
 	})
-	return &QuantFilter[T]{sp: sp, data: data, pivots: pv, words: words, sigs: sigs, opts: opts}, nil
 }
 
-// Name implements index.Index.
-func (f *QuantFilter[T]) Name() string { return "brute-force-filt-quant" }
-
-// SetGamma adjusts the candidate fraction without rebuilding. Not safe to
-// call concurrently with Search.
-func (f *QuantFilter[T]) SetGamma(gamma float64) {
-	if gamma > 0 {
-		f.opts.Gamma = gamma
-	}
+func (c *quantCodec[T]) encodeQuery(pv *permutation.Pivots[T], q *querySig, query T) {
+	q.words = permutation.Quantize(pv.PermutationWith(&q.perm, query), c.opts.PrefixLen, q.words)
 }
 
-// Gamma returns the current candidate fraction.
-func (f *QuantFilter[T]) Gamma() float64 { return f.opts.Gamma }
-
-// Stats implements index.Sized.
-func (f *QuantFilter[T]) Stats() index.Stats {
-	return index.Stats{
-		Bytes:          int64(len(f.sigs)) * 8,
-		BuildDistances: int64(len(f.data)) * int64(f.pivots.M()),
-	}
-}
-
-// Search implements index.Index.
-func (f *QuantFilter[T]) Search(query T, k int) []topk.Neighbor {
-	return f.SearchAppend(nil, query, k)
-}
-
-// SearchAppend answers like Search but appends the results to dst; with a
-// dst of sufficient capacity a warm call performs zero allocations.
-func (f *QuantFilter[T]) SearchAppend(dst []topk.Neighbor, query T, k int) []topk.Neighbor {
-	s := f.scratch.Get()
-	defer f.scratch.Put(s)
-	return f.search(s, nil, dst, query, k)
-}
-
-// NewSearcher implements index.SearcherProvider.
-func (f *QuantFilter[T]) NewSearcher() index.Searcher[T] {
-	return &searcher[T, quantScratch]{fn: f.search}
-}
-
-// search is the scratch-threaded hot path shared by Search, SearchAppend
-// and Searchers.
-func (f *QuantFilter[T]) search(s *quantScratch, tr *obs.QueryTrace, dst []topk.Neighbor, query T, k int) []topk.Neighbor {
-	if k <= 0 {
-		return dst
-	}
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	qperm := f.pivots.PermutationWith(&s.perm, query)
-	s.qsig = permutation.Quantize(qperm, f.opts.PrefixLen, s.qsig)
-	n := len(f.data)
-	g := gammaCount(f.opts.Gamma, n, k)
-
-	cands := scratch.Grow(s.cands, n)
-	s.cands = cands
-	if f.words == 1 {
-		// The default signature is a single word; keeping the word kernel
-		// inlined in this flat loop is what puts the quantized scan ahead
-		// of the binary one.
-		q0 := s.qsig[0]
-		for i := 0; i < n; i++ {
-			d := vecmath.NibbleL1Word(q0, f.sigs[i])
-			cands[i] = topk.Neighbor{ID: uint32(i), Dist: float64(d)}
+func (c *quantCodec[T]) scoreRows(q *querySig, lo, hi int, out []topk.Neighbor) {
+	if c.words == 1 {
+		// The default signature is a single word; the word kernel in this
+		// flat loop, with no row slicing, is what puts the quantized scan
+		// ahead of the binary one.
+		q0 := q.words[0]
+		for i := lo; i < hi; i++ {
+			d := vecmath.NibbleL1Word(q0, c.sigs[i])
+			out[i-lo] = topk.Neighbor{ID: uint32(i), Dist: float64(d)}
 		}
-	} else {
-		w := f.words
-		for i := 0; i < n; i++ {
-			d := vecmath.NibbleL1(s.qsig, f.sigs[i*w:(i+1)*w])
-			cands[i] = topk.Neighbor{ID: uint32(i), Dist: float64(d)}
-		}
+		return
 	}
-	if tr != nil {
-		tr.FilterCandidates += int64(n)
-		obs.AddSince(&tr.FilterNs, t0)
-		t0 = time.Now()
+	w := c.words
+	for i := lo; i < hi; i++ {
+		d := vecmath.NibbleL1(q.words, c.sigs[i*w:(i+1)*w])
+		out[i-lo] = topk.Neighbor{ID: uint32(i), Dist: float64(d)}
 	}
-	best := topk.SelectK(cands, g)
-	if tr != nil {
-		obs.AddSince(&tr.MergeNs, t0)
+}
+
+func (c *quantCodec[T]) save(cw *codec.Writer) {
+	cw.Int(c.opts.NumPivots)
+	cw.Int(c.opts.PrefixLen)
+	cw.F64(c.opts.Gamma)
+	cw.I64(c.opts.Seed)
+	cw.Int(c.words)
+	cw.U64s(c.sigs)
+}
+
+func (c *quantCodec[T]) load(cr *codec.Reader) {
+	c.opts.NumPivots = cr.Int()
+	c.opts.PrefixLen = cr.Int()
+	c.opts.Gamma = cr.F64()
+	c.opts.Seed = cr.I64()
+	c.words = cr.Int()
+	c.sigs = cr.U64s()
+}
+
+func (c *quantCodec[T]) check(n int) error {
+	if c.opts.PrefixLen <= 0 || c.opts.PrefixLen > c.opts.NumPivots ||
+		c.words != permutation.QuantizedWords(c.opts.PrefixLen) || len(c.sigs) != n*c.words {
+		return fmt.Errorf("m=%d, prefix=%d, words=%d, sigs=%d", c.opts.NumPivots, c.opts.PrefixLen, c.words, len(c.sigs))
 	}
-	s.ids = candidateIDs(s.ids, best)
-	return refineInto(f.sp, f.data, query, s.ids, k, &s.queue, dst, tr)
+	return nil
 }

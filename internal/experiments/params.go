@@ -22,7 +22,8 @@ import (
 //
 // Recognized keys per index kind:
 //
-//	brute-force-filt, brute-force-filt-bin, distvec-filt:  gamma
+//	brute-force-filt, brute-force-filt-bin, brute-force-filt-quant,
+//	distvec-filt:  gamma
 //	napp:       t (alias minshared)
 //	vptree:     alpha (sets both pruning stretch factors),
 //	            alphaleft, alpharight (one side each)
@@ -85,13 +86,15 @@ type knob struct {
 	// spans both side groups.
 	groups []string
 	// integer marks knobs that truncate to int; non-integral values are
-	// rejected rather than silently floored.
+	// rejected rather than silently floored, and so are values above
+	// math.MaxInt32, whose int conversion could wrap negative.
 	integer bool
 	// allowZero admits 0 (only mplsh probes); every knob rejects
-	// negatives. The underlying setters ignore out-of-range values
-	// silently, which is fine for internal sweeps but would make a
-	// serving request report success while searching under the old
-	// setting — so the range is enforced here, before any setter runs.
+	// negatives, NaN and infinities. The underlying setters ignore
+	// out-of-range values silently, which is fine for internal sweeps but
+	// would make a serving request report success while searching under
+	// the old setting — so the range is enforced here, before any setter
+	// runs.
 	allowZero bool
 	// get returns the knob's current state keyed by canonical restore
 	// params — possibly several (vptree "alpha" reports both sides), so
@@ -168,7 +171,7 @@ func knobsOf[T any](idx index.Index[T]) map[string]knob {
 	}
 }
 
-// gammaKnob is the shared knob map of the three gamma-budgeted filters.
+// gammaKnob is the shared knob map of the four gamma-budgeted filters.
 func gammaKnob(get func() float64, set func(float64)) map[string]knob {
 	return map[string]knob{"gamma": {
 		groups: []string{"gamma"},
@@ -180,11 +183,11 @@ func gammaKnob(get func() float64, set func(float64)) map[string]knob {
 // ApplyParams sets the query-time knobs named in p on idx and returns the
 // knobs' previous values — keyed by canonical restore params, so passing
 // prev back through ApplyParams restores the index exactly. A key the index
-// kind does not recognize, an out-of-range or non-integral value, or two
-// keys writing the same underlying knob (an alias pair, or "alpha" with one
-// of its sides) all fail before anything is modified. Like the underlying
-// setters, ApplyParams must not run concurrently with Search on the same
-// index.
+// kind does not recognize, a non-finite, out-of-range or non-integral
+// value, or two keys writing the same underlying knob (an alias pair, or
+// "alpha" with one of its sides) all fail before anything is modified. Like
+// the underlying setters, ApplyParams must not run concurrently with Search
+// on the same index.
 func ApplyParams[T any](idx index.Index[T], p Params) (prev Params, err error) {
 	if len(p) == 0 {
 		return Params{}, nil
@@ -202,11 +205,11 @@ func ApplyParams[T any](idx index.Index[T], p Params) (prev Params, err error) {
 			}
 			claimed[g] = k
 		}
-		if val < 0 || (val == 0 && !kb.allowZero) {
+		if math.IsNaN(val) || math.IsInf(val, 0) || val < 0 || (val == 0 && !kb.allowZero) {
 			return nil, fmt.Errorf("experiments: param %s=%g out of range", k, val)
 		}
-		if kb.integer && val != math.Trunc(val) {
-			return nil, fmt.Errorf("experiments: param %s=%g must be an integer", k, val)
+		if kb.integer && (val != math.Trunc(val) || val > math.MaxInt32) {
+			return nil, fmt.Errorf("experiments: param %s=%g must be an integer no larger than %d", k, val, math.MaxInt32)
 		}
 	}
 	prev = make(Params, len(p))

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -86,6 +87,10 @@ func TestApplyParamsRejectsConflictsAndBadValues(t *testing.T) {
 		"zero att":       {"att": 0},
 		"fractional ef":  {"ef": 2.5},
 		"mixed good/bad": {"att": 2, "ef": -1},
+		"infinite ef":    {"ef": math.Inf(1)},
+		"NaN att":        {"att": math.NaN()},
+		"ef over int32":  {"ef": math.MaxInt32 + 1},
+		"ef 1e300":       {"ef": 1e300},
 	} {
 		if _, err := ApplyParams[[]float32](g, p); err == nil {
 			t.Errorf("%s: ApplyParams(%v) succeeded", name, p)
@@ -99,8 +104,29 @@ func TestApplyParamsRejectsConflictsAndBadValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ApplyParams[[]float32](bf, Params{"gamma": 0}); err == nil {
-		t.Error("gamma=0 accepted (the setter would silently ignore it)")
+	for _, gamma := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := ApplyParams[[]float32](bf, Params{"gamma": gamma}); err == nil {
+			t.Errorf("gamma=%g accepted (the setter would silently ignore it)", gamma)
+		}
+	}
+	if _, err := ApplyParams[[]float32](bf, Params{"gamma": 1e300}); err != nil {
+		t.Errorf("gamma=1e300 (finite; searches every candidate) rejected: %v", err)
+	}
+
+	na, err := core.NewNAPP[[]float32](space.L2{}, db, core.NAPPOptions{NumPivots: 16, NumPivotIndex: 4, MinShared: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, minShared := range []float64{1e300, math.Inf(1), math.MaxInt32 + 1} {
+		if _, err := ApplyParams[[]float32](na, Params{"t": minShared}); err == nil {
+			t.Errorf("t=%g accepted (int conversion wraps; SetMinShared would ignore it)", minShared)
+		}
+		if got := na.Options().MinShared; got != 2 {
+			t.Fatalf("t=%g: MinShared changed to %d despite failed apply", minShared, got)
+		}
+	}
+	if _, err := ApplyParams[[]float32](na, Params{"t": math.MaxInt32}); err != nil {
+		t.Errorf("t=MaxInt32 rejected: %v", err)
 	}
 }
 
